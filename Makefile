@@ -1,6 +1,6 @@
 GITREV := $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)
 
-.PHONY: test lint lint-smoke race fuzz cover bench bench-full baseline table serve smoke-serve cluster-smoke
+.PHONY: test lint lint-smoke race fuzz cover bench bench-full baseline table serve smoke-serve
 
 test:
 	go build ./... && go test ./...
@@ -60,10 +60,3 @@ serve:
 # on SIGTERM (what the CI serve-smoke job runs).
 smoke-serve:
 	sh scripts/serve-smoke.sh
-
-# End-to-end cluster smoke: coordinator + two workers, one killed -9
-# mid-grid, SuiteReport byte-identical to a single-process run, then a
-# coordinator restart served entirely from the disk cache (what the CI
-# cluster-smoke job runs).
-cluster-smoke:
-	sh scripts/cluster-smoke.sh

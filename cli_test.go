@@ -311,3 +311,20 @@ func TestCLISweepChannelsNeedsTopology(t *testing.T) {
 		t.Errorf("stderr missing -topology hint:\n%s", stderr)
 	}
 }
+
+// TestCLISweepBadRho: a -rho that is not an exact fraction fails the
+// sweep instead of silently running every cell at the 1/2 default.
+func TestCLISweepBadRho(t *testing.T) {
+	if testing.Short() {
+		t.Skip("shells out via go run")
+	}
+	for _, rho := range []string{"0.3", "abc"} {
+		t.Run(rho, func(t *testing.T) {
+			stderr := runCLIExpectError(t, "run", "./cmd/earmac-sweep",
+				"-mode", "seed", "-seeds", "1", "-rounds", "100", "-rho", rho)
+			if !strings.Contains(stderr, "bad -rho") || !strings.Contains(stderr, rho) {
+				t.Errorf("stderr missing the -rho parse error:\n%s", stderr)
+			}
+		})
+	}
+}

@@ -37,24 +37,14 @@
 //
 //	earmac-sweep -mode frontier -n 6 -k 3 -rho 1/4 > frontier.csv
 //	earmac-sweep -mode frontier -jam-rhos 0,1/4,1/2 -sleep-idles 0,64,16 -rounds 50000
-//
-// With -server the sweep is submitted as one Grid to an earmac-serve
-// /v1/suite endpoint — a single worker or a cluster coordinator —
-// instead of simulating in-process. The SuiteReport is byte-identical
-// either way, so -server changes where the cells run, never the output:
-//
-//	earmac-sweep -mode seed -alg orchestra -pattern bernoulli -seeds 1,2,3 -server localhost:8320 > seeds.csv
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"io"
-	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -84,7 +74,6 @@ func main() {
 		netWork   = flag.Int("net-workers", 1, "channel-stepping workers inside each network cell (0 = GOMAXPROCS, 1 = serial; results are identical at any value). The default stays serial because -parallel already runs cells concurrently")
 		jsonOut   = flag.Bool("json", false, "emit the full SuiteReport as JSON instead of CSV")
 		recordDir = flag.String("record-dir", "", "record every cell as a replayable trace cell-NNN.trace.jsonl under this directory")
-		server    = flag.String("server", "", "submit the sweep to this earmac-serve /v1/suite endpoint (worker or coordinator) instead of running in-process")
 		jamRhos   = flag.String("jam-rhos", "0,1/8,1/4", "-mode frontier: comma-separated jamming rates ρ_j (0 = no jamming)")
 		sleepIdls = flag.String("sleep-idles", "0,128,32,8", "-mode frontier: comma-separated sleep-after-idle thresholds (0 = no duty-cycling), loosest first")
 		jamBeta   = flag.Int64("jam-beta", 1, "-mode frontier: jamming burstiness β_j")
@@ -105,12 +94,9 @@ func main() {
 		*channels = 2
 	}
 
-	num, den := int64(1), int64(2)
-	if p, q, ok := strings.Cut(*rho, "/"); ok {
-		num, _ = strconv.ParseInt(p, 10, 64)
-		den, _ = strconv.ParseInt(q, 10, 64)
-	} else if v, err := strconv.ParseInt(*rho, 10, 64); err == nil {
-		num, den = v, 1
+	num, den, err := parseFrac(*rho)
+	if err != nil {
+		fail(fmt.Errorf("bad -rho: %v", err))
 	}
 
 	grid := earmac.Grid{
@@ -169,45 +155,32 @@ func main() {
 
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer cancel()
-	var rep earmac.SuiteReport
-	var err error
-	if *server != "" {
-		if *recordDir != "" {
-			fail(errors.New("-server cannot record traces on the remote side; drop -record-dir or run locally"))
+	suite := earmac.NewSuite(grid)
+	if *mode == "frontier" {
+		cells, ferr := frontierCells(grid.Base, *jamRhos, *sleepIdls, *jamBeta, *wakeEvery)
+		if ferr != nil {
+			fail(ferr)
 		}
-		if *mode == "frontier" {
-			fail(errors.New("-mode frontier sweeps axes the Grid schema doesn't carry; run it locally"))
+		suite = earmac.Suite{Configs: cells}
+	}
+	var traceFiles []*os.File
+	if *recordDir != "" {
+		if err := os.MkdirAll(*recordDir, 0o755); err != nil {
+			fail(err)
 		}
-		rep, err = remoteSuite(ctx, *server, grid)
-	} else {
-		suite := earmac.NewSuite(grid)
-		if *mode == "frontier" {
-			cells, ferr := frontierCells(grid.Base, *jamRhos, *sleepIdls, *jamBeta, *wakeEvery)
-			if ferr != nil {
-				fail(ferr)
-			}
-			suite = earmac.Suite{Configs: cells}
-		}
-		var traceFiles []*os.File
-		if *recordDir != "" {
-			if err := os.MkdirAll(*recordDir, 0o755); err != nil {
+		for i := range suite.Configs {
+			f, err := os.Create(filepath.Join(*recordDir, fmt.Sprintf("cell-%03d.trace.jsonl", i)))
+			if err != nil {
 				fail(err)
 			}
-			for i := range suite.Configs {
-				f, err := os.Create(filepath.Join(*recordDir, fmt.Sprintf("cell-%03d.trace.jsonl", i)))
-				if err != nil {
-					fail(err)
-				}
-				traceFiles = append(traceFiles, f)
-				suite.Configs[i].RecordTo = f
-			}
+			traceFiles = append(traceFiles, f)
+			suite.Configs[i].RecordTo = f
 		}
-		workers := pool.Workers(*parallel)
-		rep, err = suite.Run(ctx, earmac.SuiteOptions{Workers: workers})
-		for _, f := range traceFiles {
-			if cerr := f.Close(); cerr != nil && err == nil {
-				err = cerr
-			}
+	}
+	rep, err := suite.Run(ctx, earmac.SuiteOptions{Workers: pool.Workers(*parallel)})
+	for _, f := range traceFiles {
+		if cerr := f.Close(); cerr != nil && err == nil {
+			err = cerr
 		}
 	}
 	interrupted := errors.Is(err, context.Canceled)
@@ -280,55 +253,6 @@ func main() {
 	if interrupted {
 		os.Exit(130)
 	}
-}
-
-// remoteSuite submits the grid to an earmac-serve /v1/suite endpoint
-// and decodes the merged SuiteReport. The server expands the same grid
-// with the same enumeration, so the decoded report is the one a local
-// run would have produced.
-func remoteSuite(ctx context.Context, server string, g earmac.Grid) (earmac.SuiteReport, error) {
-	if !strings.Contains(server, "://") {
-		server = "http://" + server
-	}
-	body, err := json.Marshal(g)
-	if err != nil {
-		return earmac.SuiteReport{}, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		strings.TrimRight(server, "/")+"/v1/suite", bytes.NewReader(body))
-	if err != nil {
-		return earmac.SuiteReport{}, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return earmac.SuiteReport{}, err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return earmac.SuiteReport{}, err
-	}
-	if resp.StatusCode == http.StatusAccepted {
-		// A plain worker queues suite cells asynchronously; only the
-		// coordinator answers with the merged report.
-		return earmac.SuiteReport{}, fmt.Errorf(
-			"server %s queued the suite instead of running it synchronously; point -server at an earmac-serve -coordinator", server)
-	}
-	if resp.StatusCode != http.StatusOK {
-		var eb struct {
-			Error string `json:"error"`
-		}
-		if json.Unmarshal(raw, &eb) == nil && eb.Error != "" {
-			return earmac.SuiteReport{}, fmt.Errorf("server %s: %s", server, eb.Error)
-		}
-		return earmac.SuiteReport{}, fmt.Errorf("server %s: status %d", server, resp.StatusCode)
-	}
-	var rep earmac.SuiteReport
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		return earmac.SuiteReport{}, fmt.Errorf("decoding suite report: %w", err)
-	}
-	return rep, nil
 }
 
 // flagSet reports whether the named flag was given on the command line.

@@ -12,12 +12,10 @@ import (
 	"earmac/internal/metrics"
 )
 
-// CanonicalJSON fixes the one byte representation the serving tier
-// caches, serves, and merges for a report-shaped value: compact
-// json.Marshal plus a trailing newline. The result cache stores these
-// exact bytes and the cluster coordinator assembles its SuiteReport
-// from them, which is what makes the byte-identical guarantees
-// (cache hit == first run; distributed run == single-process run)
+// CanonicalJSON fixes the one byte representation the service caches
+// and serves for a report-shaped value: compact json.Marshal plus a
+// trailing newline. The result cache stores these exact bytes, which is
+// what makes the byte-identical guarantee (cache hit == first run)
 // checkable with cmp rather than with semantic comparison.
 func CanonicalJSON(v any) []byte {
 	raw, err := json.Marshal(v)

@@ -16,8 +16,8 @@ type Entry struct {
 	Trace  []byte
 }
 
-// Cache is the two-level content-addressed result store shared by the
-// single-process server and the cluster coordinator: fingerprint → Entry.
+// Cache is the server's two-level content-addressed result store:
+// fingerprint → Entry.
 //
 // Level 1 is an in-memory LRU bounded by the entry capacity; level 2,
 // enabled by a non-empty directory, is a disk tier written through on
@@ -259,9 +259,9 @@ func atomicWrite(path string, data []byte) {
 // until it is full, returning how many were loaded (already-resident
 // fingerprints are skipped, not double counted). Files are visited in
 // sorted name order so a preload is deterministic. It is the warm-up
-// behind POST /v1/cache/preload: a freshly restarted server (or
-// coordinator) can pull its whole previous working set back into
-// memory before traffic arrives.
+// behind POST /v1/cache/preload: a freshly restarted server can pull
+// its whole previous working set back into memory before traffic
+// arrives.
 func (c *Cache) Preload() (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -67,6 +67,16 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, errorBody{Error: err.Error()})
 }
 
+// decodeCode maps a request-decoding error to its status code: 413 for
+// a body over maxBodyBytes, 400 for anything else.
+func decodeCode(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
 // submitCode maps an admission error to its status code.
 func submitCode(err error) int {
 	if errors.Is(err, earmac.ErrConflict) || errors.Is(err, errQueueFull) {
@@ -76,10 +86,10 @@ func submitCode(err error) int {
 }
 
 // writeSubmitError writes an admission failure. A queue-full 503
-// carries a Retry-After header (seconds, derived from the backlog) so
-// well-behaved clients — the cluster coordinator's retry loop among
-// them — back off for roughly one drain interval instead of hammering.
-// A draining 503 carries none: the server is going away, not busy.
+// carries a Retry-After header (seconds, derived from the backlog):
+// the standard HTTP back-off hint, so any well-behaved client waits
+// roughly one drain interval instead of hammering. A draining 503
+// carries none: the server is going away, not busy.
 func (s *Server) writeSubmitError(w http.ResponseWriter, err error) {
 	if errors.Is(err, errQueueFull) {
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
@@ -102,14 +112,26 @@ func recordParam(r *http.Request) (bool, error) {
 	return b, nil
 }
 
-// decodeConfig reads and validates a façade Config from the body.
-// Unknown fields are rejected so a typo'd field name fails loudly
-// instead of silently running the default experiment.
-func decodeConfig(r *http.Request) (earmac.Config, error) {
-	var cfg earmac.Config
-	dec := json.NewDecoder(r.Body)
+// maxBodyBytes bounds every request body the service decodes. A Config
+// or a Grid is a few hundred bytes; 1 MiB leaves room for long custom
+// link lists while no single request can make the server buffer an
+// unbounded body.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes one JSON value from the request body, read through
+// http.MaxBytesReader so an oversized body fails with
+// *http.MaxBytesError. Unknown fields are rejected so a typo'd field
+// name fails loudly instead of silently running the default experiment.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&cfg); err != nil {
+	return dec.Decode(v)
+}
+
+// decodeConfig reads and validates a façade Config from the body.
+func decodeConfig(w http.ResponseWriter, r *http.Request) (earmac.Config, error) {
+	var cfg earmac.Config
+	if err := decodeBody(w, r, &cfg); err != nil {
 		return earmac.Config{}, fmt.Errorf("decoding config: %w", err)
 	}
 	if err := cfg.Validate(); err != nil {
@@ -125,9 +147,9 @@ func decodeConfig(r *http.Request) (earmac.Config, error) {
 // fingerprint may be waiting on it, and the completed result is cached
 // for the next request.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	cfg, err := decodeConfig(r)
+	cfg, err := decodeConfig(w, r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, decodeCode(err), err)
 		return
 	}
 	record, err := recordParam(r)
@@ -179,9 +201,9 @@ type submitResponse struct {
 // id. A cache hit completes immediately (status "done", cached true);
 // joining a live identical submission returns that job's current state.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	cfg, err := decodeConfig(r)
+	cfg, err := decodeConfig(w, r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, decodeCode(err), err)
 		return
 	}
 	record, err := recordParam(r)
@@ -206,10 +228,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // submitResponse per cell, in Grid.Configs order.
 func (s *Server) handleSuite(w http.ResponseWriter, r *http.Request) {
 	var g earmac.Grid
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&g); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding grid: %w", err))
+	if err := decodeBody(w, r, &g); err != nil {
+		writeError(w, decodeCode(err), fmt.Errorf("decoding grid: %w", err))
 		return
 	}
 	cfgs := earmac.NewSuite(g).Configs
@@ -418,9 +438,9 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 }
 
 // jobStats is the per-state job tally healthz serves: the live gauges
-// (queued, running) next to the cumulative terminal counters, so the
-// coordinator's health probe and the smoke scripts can see both the
-// instantaneous load and how jobs have been ending.
+// (queued, running) next to the cumulative terminal counters, so an
+// operator or a monitoring probe can see both the instantaneous load
+// and how jobs have been ending.
 type jobStats struct {
 	Queued    int   `json:"queued"`
 	Running   int   `json:"running"`

@@ -407,7 +407,8 @@ func (s *Server) tallies() (done, failed, cancelled int64) {
 // retryAfterSeconds derives a Retry-After hint for a queue-full 503
 // from the current backlog: roughly the queue depth divided by the
 // worker count (how many "queue drain slots" precede the retry),
-// clamped to [1, 60]. The coordinator's retry loop honours it.
+// clamped to [1, 60]. Retry-After is standard HTTP, so any client that
+// retries politely can honour it without knowing this service.
 func (s *Server) retryAfterSeconds() int {
 	queued, _ := s.counts()
 	secs := queued / s.opts.Workers

@@ -306,6 +306,27 @@ func TestSubmitValidationErrors(t *testing.T) {
 	}
 }
 
+// TestOversizedBodyRejected: a body over maxBodyBytes is refused with
+// 413 and the usual JSON error body on every decoding endpoint, before
+// the server buffers it, while an ordinary config still runs.
+func TestOversizedBodyRejected(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1})
+	huge := `{"pattern":"` + strings.Repeat("x", maxBodyBytes) + `"}`
+	for _, path := range []string{"/v1/run", "/v1/jobs", "/v1/suite"} {
+		resp, raw := post(t, ts.URL+path, huge)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s oversized body: status %d, want 413 (%.200s)", path, resp.StatusCode, raw)
+		}
+		var eb errorBody
+		if err := json.Unmarshal(raw, &eb); err != nil || !strings.Contains(eb.Error, "too large") {
+			t.Errorf("%s oversized body: error body %q (%v), want a JSON error naming the size limit", path, raw, err)
+		}
+	}
+	if resp, raw := post(t, ts.URL+"/v1/run", quickConfig); resp.StatusCode != http.StatusOK {
+		t.Fatalf("quickConfig after oversized bodies: %d %s", resp.StatusCode, raw)
+	}
+}
+
 func TestCancelRunningJob(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})
 	long := `{"algorithm":"orchestra","n":6,"rounds":4000000000}`
@@ -432,6 +453,42 @@ func TestSuiteSubmission(t *testing.T) {
 	}
 }
 
+// TestSuiteCellsMatchInProcessSuite: every cell the service serves for
+// a /v1/suite grid is byte-identical to the same cell of an in-process
+// Suite.Run — served grids and local sweeps are one computation, at
+// any worker count on either side. The grid mixes stable and unstable
+// verdicts.
+func TestSuiteCellsMatchInProcessSuite(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 2})
+	const grid = `{"algorithms":["count-hop","orchestra"],"ns":[4,5],"rhos":[{"num":1,"den":3},{"num":3,"den":4}],"base":{"rounds":8000}}`
+	var g earmac.Grid
+	if err := json.Unmarshal([]byte(grid), &g); err != nil {
+		t.Fatal(err)
+	}
+	local, err := earmac.NewSuite(g).Run(context.Background(), earmac.SuiteOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, raw := post(t, ts.URL+"/v1/suite", grid)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("suite: %d %s", resp.StatusCode, raw)
+	}
+	var subs []submitResponse
+	if err := json.Unmarshal(raw, &subs); err != nil {
+		t.Fatal(err)
+	}
+	if len(subs) != local.Cells {
+		t.Fatalf("served %d cells, in-process suite has %d", len(subs), local.Cells)
+	}
+	for i, sub := range subs {
+		waitState(t, ts, sub.ID, StateDone)
+		_, served := get(t, ts.URL+"/v1/jobs/"+sub.ID+"/result")
+		if want := canonicalReport(local.Results[i].Report); !bytes.Equal(served, want) {
+			t.Errorf("cell %d differs from the in-process suite:\nserved: %s\nlocal:  %s", i, served, want)
+		}
+	}
+}
+
 func TestSuiteValidationFailsWholeBatch(t *testing.T) {
 	svc, ts := newTestServer(t, Options{Workers: 1})
 	grid := `{"algorithms":["count-hop","no-such-alg"],"base":{"rounds":1000}}`
@@ -482,9 +539,9 @@ func TestQueueFull(t *testing.T) {
 }
 
 // TestQueueFullRetryAfter: the queue-full 503 carries a Retry-After
-// header (whole seconds, derived from the backlog) that clients — the
-// cluster coordinator's retry loop among them — can honour. A draining
-// 503 carries none: the server is going away, not busy.
+// header (whole seconds, derived from the backlog) that any
+// well-behaved client can honour. A draining 503 carries none: the
+// server is going away, not busy.
 func TestQueueFullRetryAfter(t *testing.T) {
 	svc, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 1})
 	long := func(n int) string {
@@ -996,7 +1053,7 @@ func TestCacheEvictionLRU(t *testing.T) {
 }
 
 // TestCacheDiskTier: the disk tier persists entries across cache
-// instances (the coordinator-restart scenario), promotes them back into
+// instances (the server-restart scenario), promotes them back into
 // memory on a miss, counts disk hits, and keeps entries that were
 // evicted from the memory LRU.
 func TestCacheDiskTier(t *testing.T) {

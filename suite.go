@@ -214,26 +214,6 @@ func runCell(ctx context.Context, i int, cfg Config) SuiteResult {
 	return res
 }
 
-// MergeResults assembles a SuiteReport from per-cell results produced
-// elsewhere — the cluster coordinator's path, where cells run on
-// different worker processes and arrive in completion order. Results
-// are placed by their Index, never by arrival order, and missing cells
-// keep the same skipped placeholder Run would leave (Config included),
-// so the merged report is byte-identical to a single-process Run over
-// the same Configs. A result whose index is out of range is dropped.
-func (s Suite) MergeResults(results []SuiteResult) SuiteReport {
-	ordered := make([]SuiteResult, len(s.Configs))
-	for i := range ordered {
-		ordered[i] = SuiteResult{Index: i, Config: s.Configs[i], Verdict: VerdictSkipped}
-	}
-	for _, r := range results {
-		if r.Index >= 0 && r.Index < len(ordered) {
-			ordered[r.Index] = r
-		}
-	}
-	return aggregate(ordered)
-}
-
 func aggregate(results []SuiteResult) SuiteReport {
 	rep := SuiteReport{Cells: len(results), Results: results}
 	for _, r := range results {
