@@ -1,6 +1,6 @@
 GITREV := $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)
 
-.PHONY: test lint lint-smoke race fuzz cover bench bench-full baseline table serve smoke-serve
+.PHONY: test lint lint-smoke race allocs fuzz cover bench bench-full baseline table serve smoke-serve
 
 test:
 	go build ./... && go test ./...
@@ -20,6 +20,12 @@ lint-smoke:
 # Full suite under the race detector (what the CI race job runs).
 race:
 	go test -race ./...
+
+# Steady-state allocation floor: the ZeroAllocs tests, without -short
+# (the test job runs -short and the race job skips them). The CI bench
+# job runs this target.
+allocs:
+	go test -run 'ZeroAllocs' -v . ./internal/network
 
 # Fuzz smoke: same budget as the CI fuzz job.
 fuzz:

@@ -312,13 +312,14 @@ func TestCLISweepChannelsNeedsTopology(t *testing.T) {
 	}
 }
 
-// TestCLISweepBadRho: a -rho that is not an exact fraction fails the
-// sweep instead of silently running every cell at the 1/2 default.
+// TestCLISweepBadRho: a -rho that is not an exact fraction with a
+// positive denominator fails the sweep instead of silently running
+// every cell at the 1/2 default (or, for "1/0", at rate 1).
 func TestCLISweepBadRho(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shells out via go run")
 	}
-	for _, rho := range []string{"0.3", "abc"} {
+	for _, rho := range []string{"0.3", "abc", "1/0"} {
 		t.Run(rho, func(t *testing.T) {
 			stderr := runCLIExpectError(t, "run", "./cmd/earmac-sweep",
 				"-mode", "seed", "-seeds", "1", "-rounds", "100", "-rho", rho)

@@ -23,7 +23,7 @@
 //	earmac-sim -alg count-hop -phases quiet:4000,bursty:2000,poisson-batch:0
 //	earmac-sim -alg orchestra -pattern poisson-batch -record run.trace.jsonl
 //	earmac-sim -replay run.trace.jsonl -json      # same counters, bit-identical
-//	earmac-sim -replay run.trace.jsonl -checked   # replay on the checked path
+//	earmac-sim -replay run.trace.jsonl -checked   # replay with the checker attached
 //
 // The run honours SIGINT: interrupting prints the measurements gathered
 // so far and exits 130 so scripts can tell a truncated horizon from a
@@ -43,6 +43,7 @@ import (
 
 	"earmac"
 	"earmac/internal/prof"
+	"earmac/internal/ratio"
 )
 
 func main() {
@@ -69,7 +70,7 @@ func main() {
 		wakeEv   = flag.Int64("wake-every", 0, "duty-cycling: wake a sleeping station every this many rounds")
 		enBudget = flag.Int64("energy-budget", 0, "duty-cycling: stop listening for good after this many switched-on rounds (0 = unlimited)")
 		lenient  = flag.Bool("lenient", false, "record model violations instead of aborting")
-		checked  = flag.Bool("checked", false, "force the fully-validating round loop (schedule-conformance scan included)")
+		checked  = flag.Bool("checked", false, "attach the simulator's checker (schedule-conformance scan included)")
 		jsonOut  = flag.Bool("json", false, "emit the report as JSON (shared Report schema)")
 		progress = flag.Bool("progress", false, "log interim progress snapshots to stderr")
 		traceN   = flag.Int64("trace", 0, "log this many rounds of channel events to stderr")
@@ -110,9 +111,9 @@ func main() {
 			cfg.Lenient = true
 		}
 	} else {
-		num, den, err := parseRho(*rho)
+		num, den, err := ratio.ParseFrac(*rho)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "earmac-sim:", err)
+			fmt.Fprintln(os.Stderr, "earmac-sim: bad -rho:", err)
 			os.Exit(2)
 		}
 		lk, err := parseLinks(*links)
@@ -149,9 +150,9 @@ func main() {
 			EnergyBudget:        *enBudget,
 		}
 		if *jamRho != "" {
-			jn, jd, err := parseRho(*jamRho)
+			jn, jd, err := ratio.ParseFrac(*jamRho)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "earmac-sim:", err)
+				fmt.Fprintln(os.Stderr, "earmac-sim: bad -jam-rho:", err)
 				os.Exit(2)
 			}
 			cfg.JamRhoNum, cfg.JamRhoDen = jn, jd
@@ -343,23 +344,4 @@ func parsePhases(spec string) ([]earmac.Phase, error) {
 		out = append(out, earmac.Phase{Pattern: name, Rounds: r})
 	}
 	return out, nil
-}
-
-func parseRho(s string) (num, den int64, err error) {
-	if p, q, ok := strings.Cut(s, "/"); ok {
-		num, err = strconv.ParseInt(p, 10, 64)
-		if err != nil {
-			return 0, 0, fmt.Errorf("bad rate %q: %v", s, err)
-		}
-		den, err = strconv.ParseInt(q, 10, 64)
-		if err != nil {
-			return 0, 0, fmt.Errorf("bad rate %q: %v", s, err)
-		}
-		return num, den, nil
-	}
-	num, err = strconv.ParseInt(s, 10, 64)
-	if err != nil {
-		return 0, 0, fmt.Errorf("bad rate %q: %v", s, err)
-	}
-	return num, 1, nil
 }

@@ -1,7 +1,12 @@
 package main
 
-import "testing"
+import (
+	"testing"
 
+	"earmac/internal/ratio"
+)
+
+// TestParseRho pins the fraction syntax -rho and -jam-rho accept.
 func TestParseRho(t *testing.T) {
 	cases := []struct {
 		in       string
@@ -15,17 +20,20 @@ func TestParseRho(t *testing.T) {
 		{"x/2", 0, 0, true},
 		{"1/y", 0, 0, true},
 		{"", 0, 0, true},
+		{"1/0", 0, 0, true},
+		{"1/-2", 0, 0, true},
+		{"0", 0, 1, false},
 	}
 	for _, c := range cases {
-		num, den, err := parseRho(c.in)
+		num, den, err := ratio.ParseFrac(c.in)
 		if c.wantErr {
 			if err == nil {
-				t.Errorf("parseRho(%q): want error", c.in)
+				t.Errorf("ParseFrac(%q): want error", c.in)
 			}
 			continue
 		}
 		if err != nil || num != c.num || den != c.den {
-			t.Errorf("parseRho(%q) = %d/%d, %v; want %d/%d", c.in, num, den, err, c.num, c.den)
+			t.Errorf("ParseFrac(%q) = %d/%d, %v; want %d/%d", c.in, num, den, err, c.num, c.den)
 		}
 	}
 }

@@ -53,6 +53,7 @@ import (
 
 	"earmac"
 	"earmac/internal/pool"
+	"earmac/internal/ratio"
 )
 
 func main() {
@@ -94,7 +95,7 @@ func main() {
 		*channels = 2
 	}
 
-	num, den, err := parseFrac(*rho)
+	num, den, err := ratio.ParseFrac(*rho)
 	if err != nil {
 		fail(fmt.Errorf("bad -rho: %v", err))
 	}
@@ -274,7 +275,7 @@ func flagSet(name string) bool {
 func frontierCells(base earmac.Config, jamRhos, sleepIdles string, jamBeta, wakeEvery int64) ([]earmac.Config, error) {
 	var jams [][2]int64
 	for _, part := range strings.Split(jamRhos, ",") {
-		num, den, err := parseFrac(strings.TrimSpace(part))
+		num, den, err := ratio.ParseFrac(strings.TrimSpace(part))
 		if err != nil {
 			return nil, fmt.Errorf("bad -jam-rhos: %v", err)
 		}
@@ -304,26 +305,6 @@ func frontierCells(base earmac.Config, jamRhos, sleepIdles string, jamBeta, wake
 		}
 	}
 	return cells, nil
-}
-
-// parseFrac parses "p/q" or an integer into an exact fraction.
-func parseFrac(s string) (num, den int64, err error) {
-	if p, q, ok := strings.Cut(s, "/"); ok {
-		num, err = strconv.ParseInt(p, 10, 64)
-		if err != nil {
-			return 0, 0, fmt.Errorf("bad fraction %q: %v", s, err)
-		}
-		den, err = strconv.ParseInt(q, 10, 64)
-		if err != nil {
-			return 0, 0, fmt.Errorf("bad fraction %q: %v", s, err)
-		}
-		return num, den, nil
-	}
-	num, err = strconv.ParseInt(s, 10, 64)
-	if err != nil {
-		return 0, 0, fmt.Errorf("bad fraction %q: %v", s, err)
-	}
-	return num, 1, nil
 }
 
 // fracString renders an exact fraction compactly ("0", "1", "1/8").

@@ -129,12 +129,12 @@ type Config struct {
 	// DisableChecks turns off the packet-conservation invariant checker
 	// (on by default; it costs O(queue) every ~10k rounds).
 	DisableChecks bool `json:"disable_checks,omitempty"`
-	// ForceChecked keeps the fully-validating round loop (including the
+	// ForceChecked attaches the simulator's checker (which adds the
 	// per-round schedule-conformance scan) even when Lenient and
-	// DisableChecks would otherwise select the allocation-free fast
-	// path, which records every violation except schedule conformance.
-	// Set it to audit a custom algorithm's schedule without aborting on
-	// violations.
+	// DisableChecks would otherwise leave it off; without it the
+	// allocation-free fast path records every violation except schedule
+	// conformance. Set it to audit a custom algorithm's schedule without
+	// aborting on violations.
 	ForceChecked bool `json:"force_checked,omitempty"`
 	// JamRhoNum/JamRhoDen/JamBeta, when JamRhoNum > 0, add a jamming
 	// adversary with its own (ρ_j, β_j) leaky-bucket budget, spent one
@@ -175,8 +175,8 @@ type Config struct {
 	// RecordTo, when non-nil, receives a replayable injection trace of
 	// the run in the versioned JSONL format (header with this Config,
 	// one event line per injecting round, footer pinning the final
-	// counters). Recording works on both simulator paths and does not
-	// force the checked path.
+	// counters). Recording works with or without the simulator's
+	// checker and does not attach it.
 	RecordTo io.Writer `json:"-"`
 	// Replay, when non-nil, re-executes the recorded injection stream
 	// instead of running an adversary: Pattern, Phases, Seed, ρ and β
@@ -354,8 +354,7 @@ func prepare(cfg Config) (run, error) {
 		if cfg.StopInjectionsAfter > 0 {
 			pat = adversary.Stop(pat, cfg.StopInjectionsAfter)
 		}
-		typ := adversary.Type{Rho: ratio.New(cfg.RhoNum, cfg.RhoDen), Beta: ratio.FromInt(cfg.Beta)}
-		adv = adversary.New(typ, pat)
+		adv = adversary.New(cfg.advType(), pat)
 	}
 
 	tr := metrics.NewTracker()
@@ -367,18 +366,12 @@ func prepare(cfg Config) (run, error) {
 	if cfg.Trace != nil {
 		tracer = &trace.Logger{W: cfg.Trace, From: cfg.TraceFrom, To: cfg.TraceUpTo}
 	}
-	var enc *scenario.Encoder
+	enc, err := cfg.encoder()
+	if err != nil {
+		return run{}, err
+	}
 	var injObs func(round int64, injs []core.Injection)
-	if cfg.RecordTo != nil {
-		raw, err := json.Marshal(cfg)
-		if err != nil {
-			return run{}, fmt.Errorf("earmac: encoding config into trace header: %w", err)
-		}
-		hdr := scenario.Header{N: cfg.N, Rounds: cfg.Rounds, Config: raw}
-		if cfg.disrupted() {
-			hdr.Version = scenario.TraceVersion // kinded events need v3
-		}
-		enc = scenario.NewEncoder(cfg.RecordTo, hdr)
+	if enc != nil {
 		injObs = enc.Round
 	}
 	opts := core.Options{
@@ -395,15 +388,7 @@ func prepare(cfg Config) (run, error) {
 	// closure runs once per round, serially, after the round's injection
 	// event was recorded — so jam/outage events land behind it in the
 	// trace, as the v3 per-round ordering requires.
-	var disruptor network.Disruptor
-	if cfg.Replay != nil {
-		if jr := network.NewJamReplay(cfg.Replay); jr != nil {
-			disruptor = jr
-		}
-	} else if cfg.jamming() {
-		jt := adversary.Type{Rho: ratio.New(cfg.JamRhoNum, cfg.JamRhoDen), Beta: ratio.FromInt(cfg.JamBeta)}
-		disruptor = network.NewJammer(jt, 1, cfg.Seed)
-	}
+	disruptor := cfg.disruptor(1)
 	outs, err := network.NewOutageSchedule(cfg.Outages, 1)
 	if err != nil {
 		return run{}, fmt.Errorf("earmac: %w", err)
@@ -476,6 +461,47 @@ func prepare(cfg Config) (run, error) {
 	}, nil
 }
 
+// advType is the injection adversary's (ρ, β) type.
+func (c Config) advType() adversary.Type {
+	return adversary.Type{Rho: ratio.New(c.RhoNum, c.RhoDen), Beta: ratio.FromInt(c.Beta)}
+}
+
+// disruptor is the run's jam source over the given channel count: the
+// replayed jam events of a recorded trace, a live budgeted jammer, or
+// nil when the run is not jammed.
+func (c Config) disruptor(channels int) network.Disruptor {
+	switch {
+	case c.Replay != nil:
+		if jr := network.NewJamReplay(c.Replay); jr != nil {
+			return jr // a nil *JamReplay must not become a non-nil interface
+		}
+	case c.jamming():
+		jt := adversary.Type{Rho: ratio.New(c.JamRhoNum, c.JamRhoDen), Beta: ratio.FromInt(c.JamBeta)}
+		return network.NewJammer(jt, channels, c.Seed)
+	}
+	return nil
+}
+
+// encoder opens the trace recording of a run with RecordTo set (nil
+// otherwise): a header carrying the config, at version 3 when the run
+// can produce disruption events.
+func (c Config) encoder() (*scenario.Encoder, error) {
+	if c.RecordTo == nil {
+		return nil, nil
+	}
+	raw, err := json.Marshal(c)
+	if err != nil {
+		return nil, fmt.Errorf("earmac: encoding config into trace header: %w", err)
+	}
+	// Channels is 0 on a single channel: Validate rejects it without a
+	// Topology, so v1 headers keep omitting it.
+	hdr := scenario.Header{N: c.N, Rounds: c.Rounds, Channels: c.Channels, Config: raw}
+	if c.disrupted() {
+		hdr.Version = scenario.TraceVersion // kinded events need v3
+	}
+	return scenario.NewEncoder(c.RecordTo, hdr), nil
+}
+
 // conservationCheckEvery is the packet-conservation cadence Run uses
 // unless DisableChecks is set (a prime, so it never aligns with phase
 // or pattern periods).
@@ -528,24 +554,17 @@ func prepareNetwork(cfg Config) (run, error) {
 			}
 			pats[c] = pat
 		}
-		typ := adversary.Type{Rho: ratio.New(cfg.RhoNum, cfg.RhoDen), Beta: ratio.FromInt(cfg.Beta)}
-		entry, err = network.NewAdversary(topo, typ, pats)
+		entry, err = network.NewAdversary(topo, cfg.advType(), pats)
 		if err != nil {
 			return run{}, fmt.Errorf("earmac: %w", err)
 		}
 	}
-	var enc *scenario.Encoder
+	enc, err := cfg.encoder()
+	if err != nil {
+		return run{}, err
+	}
 	var rec func(round int64, ch int, injs []core.Injection)
-	if cfg.RecordTo != nil {
-		raw, err := json.Marshal(cfg)
-		if err != nil {
-			return run{}, fmt.Errorf("earmac: encoding config into trace header: %w", err)
-		}
-		hdr := scenario.Header{N: cfg.N, Rounds: cfg.Rounds, Channels: cfg.Channels, Config: raw}
-		if cfg.disrupted() {
-			hdr.Version = scenario.TraceVersion // kinded events need v3
-		}
-		enc = scenario.NewEncoder(cfg.RecordTo, hdr)
+	if enc != nil {
 		rec = enc.ChannelRound
 	}
 	var tracer func(ch int) core.Tracer
@@ -568,14 +587,7 @@ func prepareNetwork(cfg Config) (run, error) {
 		TrackStations: true,
 		Recorder:      rec,
 		Tracer:        tracer,
-	}
-	if cfg.Replay != nil {
-		if jr := network.NewJamReplay(cfg.Replay); jr != nil {
-			netOpts.Disruptor = jr
-		}
-	} else if cfg.jamming() {
-		jt := adversary.Type{Rho: ratio.New(cfg.JamRhoNum, cfg.JamRhoDen), Beta: ratio.FromInt(cfg.JamBeta)}
-		netOpts.Disruptor = network.NewJammer(jt, cfg.Channels, cfg.Seed)
+		Disruptor:     cfg.disruptor(cfg.Channels),
 	}
 	if netOpts.Outages, err = network.NewOutageSchedule(cfg.Outages, cfg.Channels); err != nil {
 		return run{}, fmt.Errorf("earmac: %w", err)
@@ -593,9 +605,7 @@ func prepareNetwork(cfg Config) (run, error) {
 	// The effective per-channel entry budget (the burst floored at 1 —
 	// see network.SplitType) goes into the report so rows aren't
 	// mislabeled with the nominal (ρ, β) when β < Channels.
-	split := network.SplitType(adversary.Type{
-		Rho: ratio.New(cfg.RhoNum, cfg.RhoDen), Beta: ratio.FromInt(cfg.Beta),
-	}, cfg.Channels)
+	split := network.SplitType(cfg.advType(), cfg.Channels)
 	snapshot := func() Report {
 		rep := report.FromTracker(info, topo.Stations(), net.Tracker())
 		rep.N = cfg.N

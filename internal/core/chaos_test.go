@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -17,12 +19,18 @@ type chaosProto struct {
 	rng   *rand.Rand
 	queue []mac.Packet
 	txIdx int
+	// offTx makes the station occasionally transmit while switched off
+	// (a model violation the simulator must record, not act on).
+	offTx bool
 }
 
 func (p *chaosProto) Inject(pkt mac.Packet) { p.queue = append(p.queue, pkt) }
 
 func (p *chaosProto) Act(round int64) Action {
 	p.txIdx = -1
+	if p.offTx && p.rng.Intn(16) == 0 {
+		return Action{Transmit: true, Msg: mac.CtrlMsg(mac.MakeControl(2))}
+	}
 	switch p.rng.Intn(4) {
 	case 0:
 		return Off()
@@ -54,12 +62,22 @@ func (p *chaosProto) QueueLen() int { return len(p.queue) }
 type chaosAdv struct {
 	rng *rand.Rand
 	n   int
+	// oob makes roughly one injection in eight name a station or
+	// destination outside [0, n).
+	oob bool
 }
 
 func (a *chaosAdv) Inject(round int64) []Injection {
 	injs := make([]Injection, a.rng.Intn(3))
 	for i := range injs {
 		injs[i] = Injection{Station: a.rng.Intn(a.n), Dest: a.rng.Intn(a.n)}
+		if a.oob && a.rng.Intn(8) == 0 {
+			if a.rng.Intn(2) == 0 {
+				injs[i].Station = a.n
+			} else {
+				injs[i].Dest = -1
+			}
+		}
 	}
 	return injs
 }
@@ -166,6 +184,93 @@ func TestChaosFastCheckedEquivalence(t *testing.T) {
 		if fast != checked {
 			t.Errorf("seed %d: fast and checked counters differ:\nfast:    %+v\nchecked: %+v",
 				seed, fast, checked)
+		}
+	}
+}
+
+// violatingChaos builds a chaos system that breaks every cheap model
+// rule at random — out-of-range injections, transmit-while-off, an
+// energy cap of n-1, light messages under a plain-packet declaration —
+// on a channel that is jammed or down in some rounds. consults counts
+// the Disrupted hook's calls.
+func violatingChaos(seed int64, n int, opt Options, consults *int64) *Sim {
+	protos := make([]Protocol, n)
+	for i := range protos {
+		protos[i] = &chaosProto{rng: rand.New(rand.NewSource(seed + int64(i))), offTx: true}
+	}
+	system := &System{
+		Info:     AlgorithmInfo{Name: "chaos", EnergyCap: n - 1, PlainPacket: true},
+		Stations: protos,
+	}
+	opt.Disrupted = func(round int64) Disrupt {
+		*consults++
+		switch {
+		case round%13 == 5:
+			return DisruptJam
+		case round%17 == 3:
+			return DisruptOutage
+		case round%29 == 7:
+			return DisruptJam | DisruptOutage
+		}
+		return 0
+	}
+	return NewSim(system, &chaosAdv{rng: rand.New(rand.NewSource(seed ^ 0x5eed)), n: n, oob: true}, opt)
+}
+
+// TestChaosViolationParity pins the violation record across the two
+// loop configurations. Lenient: the same counters, the same Violations
+// slice and the same number of Disrupted consults with the checker on
+// (ForceChecked) and off. Strict: the run stops in the round of the
+// first violation the lenient run records, with that violation's text.
+func TestChaosViolationParity(t *testing.T) {
+	for seed := int64(1); seed <= 12; seed++ {
+		n := 2 + int(seed%5)
+		const rounds = 2000
+		var fastCalls, checkedCalls int64
+		fast := violatingChaos(seed, n, Options{}, &fastCalls)
+		checked := violatingChaos(seed, n, Options{ForceChecked: true}, &checkedCalls)
+		if !fast.FastPath() || checked.FastPath() {
+			t.Fatal("path selection does not match options")
+		}
+		if err := fast.Run(rounds); err != nil {
+			t.Fatal(err)
+		}
+		if err := checked.Run(rounds); err != nil {
+			t.Fatal(err)
+		}
+		ft, ct := fast.Tracker(), checked.Tracker()
+		if ft.Counters != ct.Counters {
+			t.Errorf("seed %d: counters differ:\nfast:    %+v\nchecked: %+v", seed, ft.Counters, ct.Counters)
+		}
+		if len(ft.Violations) == 0 {
+			t.Fatalf("seed %d: violating chaos recorded no violation", seed)
+		}
+		if !slices.Equal(ft.Violations, ct.Violations) {
+			t.Errorf("seed %d: violation records differ:\nfast:    %q\nchecked: %q", seed, ft.Violations, ct.Violations)
+		}
+		if fastCalls != rounds || checkedCalls != rounds {
+			t.Errorf("seed %d: Disrupted consulted %d (fast) / %d (checked) times, want %d",
+				seed, fastCalls, checkedCalls, rounds)
+		}
+
+		// The lenient round of the first violation, stepped one round
+		// at a time.
+		var calls int64
+		lenient := violatingChaos(seed, n, Options{}, &calls)
+		for len(lenient.Tracker().Violations) == 0 {
+			if err := lenient.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		first := lenient.Round() - 1
+		want := fmt.Sprintf("round %d: %s", first, lenient.Tracker().Violations[0])
+		strict := violatingChaos(seed, n, Options{Strict: true}, &calls)
+		err := strict.Run(rounds)
+		if err == nil || err.Error() != want {
+			t.Errorf("seed %d: strict error %v, want %q", seed, err, want)
+		}
+		if strict.Round() != first {
+			t.Errorf("seed %d: strict run stopped at round %d, want %d", seed, strict.Round(), first)
 		}
 	}
 }

@@ -1,8 +1,8 @@
 package core
 
 // The quiescence fast-forward engine (DESIGN.md §16). All methods here
-// run only on the fast path with skipOK resolved at NewSim; the
-// checked path never skips. See skip.go for the contracts.
+// run only on the fast path with skipOK resolved at NewSim; a sim with
+// the checker attached never skips. See skip.go for the contracts.
 
 // tryEnterQuiescence is called after a completed fast round whose
 // total queue was zero; s.round is the next unexecuted round. It asks
@@ -74,20 +74,18 @@ func (s *Sim) prefRange(pref []int64, a, b int64) int64 {
 }
 
 // quiescentAdvance executes one quiescent round — an O(1) tick, or a
-// wake-up full sweep when the round carries an event — and then
-// attempts a span skip toward end. The per-round external state
+// wake-up run of the round kernel when the round carries an event — and
+// then attempts a span skip toward end. The per-round external state
 // (adversary bucket, replay cursors, the Disrupted hook) advances
 // exactly as on the classic loop: gather and the disruption consult
-// run for every ticked round.
+// run for every ticked round. The engine runs only without the
+// checker, so the kernel's error is always nil.
 //
 //earmac:hotpath
-func (s *Sim) quiescentAdvance(end int64) {
+func (s *Sim) quiescentAdvance(end int64) error {
 	t := s.round
 	injs := s.gather(t)
-	var d Disrupt
-	if s.disrupt != nil {
-		d = s.disrupt(t)
-	}
+	d := s.disruption(t)
 	// A wake-up is forced by a pending injection, the idle-profile
 	// horizon, or a disrupted round some station would observe (the
 	// collision feedback alters station state, so it cannot be ticked;
@@ -95,11 +93,11 @@ func (s *Sim) quiescentAdvance(end int64) {
 	// counts the jammed/outaged round).
 	if len(injs) > 0 || t == s.idleBreakAt || (d != 0 && s.idleEntry(t).Energy > 0) {
 		s.wake(t)
-		s.stepFastFrom(t, injs, d)
-		return
+		return s.step(t, injs, d)
 	}
 	s.tick(t, d)
 	s.trySpan(end)
+	return nil
 }
 
 // wake replays the skipped idle rounds into the stations and leaves

@@ -6,6 +6,7 @@ import (
 
 	"earmac/internal/mac"
 	"earmac/internal/metrics"
+	"earmac/internal/sched"
 )
 
 // Options configures a simulation run.
@@ -23,10 +24,10 @@ type Options struct {
 	Tracer Tracer
 	// InjectionObserver, when non-nil, receives every round's injections
 	// right after the adversary produces them (before range validation),
-	// on both the fast and checked paths — the hook the trace recorder
+	// with or without the checker — the hook the trace recorder
 	// (internal/scenario) captures replayable runs with. The slice is
 	// reused between rounds and must not be retained. Unlike Tracer it
-	// does not force the checked path. Externally-sourced injections
+	// does not attach the checker. Externally-sourced injections
 	// (ExtraInjections) are NOT reported: they are derived state, fully
 	// reproducible from the recorded adversarial stream.
 	InjectionObserver func(round int64, injs []Injection)
@@ -37,34 +38,34 @@ type Options struct {
 	// steady-state round loop stays allocation-free; when nil (every
 	// single-channel run) the hook costs one pointer comparison.
 	ExtraInjections InjectAppender
-	// DeliveryObserver, when non-nil, receives every delivered packet on
-	// both simulator paths, in the round it was delivered. It is the
-	// hook relay layers intercept deliveries with; like
-	// InjectionObserver it does not force the checked path.
+	// DeliveryObserver, when non-nil, receives every delivered packet,
+	// in the round it was delivered. It is the hook relay layers
+	// intercept deliveries with; like InjectionObserver it does not
+	// attach the checker.
 	DeliveryObserver func(round int64, p mac.Packet)
-	// ForceChecked keeps the fully-validating round loop even when the
-	// fast path would apply (see Sim.FastPath). Used by the equivalence
-	// tests; never needed in normal operation.
+	// ForceChecked attaches the checker even when no other option asks
+	// for it (see Sim.FastPath). Used by the equivalence tests; never
+	// needed in normal operation.
 	ForceChecked bool
-	// Disrupted, when non-nil, is consulted exactly once per round on
-	// both paths — after injections and actions, before channel
-	// resolution — and returns the round's disruption flags. A disrupted
+	// Disrupted, when non-nil, is consulted exactly once per round —
+	// right after the round's injections are gathered, before any
+	// station acts — and returns the round's disruption flags. A disrupted
 	// round delivers nothing: every switched-on station observes
 	// FbCollision regardless of how many stations transmitted (jamming
 	// noise and a dead channel are indistinguishable from a collision at
 	// the receivers), stations still spend their energy, and the tracker
 	// counts the round as a collision plus the matching Jammed/Outaged
-	// counter. The hook runs on the fast path too, so it must not
+	// counter. The hook runs with the checker off too, so it must not
 	// allocate in steady state.
 	Disrupted func(round int64) Disrupt
 	// DropObserver, when non-nil, receives every packet that dies
 	// mid-route: a heard round whose destination station is switched off
 	// under a direct algorithm (see Counters.Dropped for the exact
 	// semantics). Topology layers use it to reclaim per-packet relay
-	// state; like DeliveryObserver it runs on both paths.
+	// state; like DeliveryObserver it runs with or without the checker.
 	DropObserver func(round int64, p mac.Packet)
-	// RoundEnd, when non-nil, runs at the very end of every round on
-	// both paths, after all statistics for the round are folded. It is
+	// RoundEnd, when non-nil, runs at the very end of every round,
+	// after all statistics for the round are folded. It is
 	// the hook duty-cycle recorders use to observe per-round sleep
 	// state at a point where every station has acted. Because it
 	// observes every round, it disables the quiescence fast-forward
@@ -97,27 +98,31 @@ const (
 
 // Sim drives one system against one adversary.
 //
-// At construction the simulator selects one of two round loops:
+// Every round runs through one kernel, step, which applies the model's
+// per-round rules — injection ranges, the energy cap, transmit-while-off,
+// the plain-packet discipline, the jam/outage override and mid-route
+// drops — the same way on every run. The validations that cost more
+// than a comparison move behind an optional checker, attached at
+// construction in strict mode, when a Tracer is set, when conservation
+// checking (Options.CheckEvery) is on, or with Options.ForceChecked:
 //
-//   - The checked path runs every model validation the paper states —
-//     per-round schedule conformance, conservation tracking, tracing.
-//     It is selected in strict mode, when a Tracer is attached, or when
-//     conservation checking (Options.CheckEvery) is on.
-//   - The fast path is the steady-state loop used by benchmarks and
-//     sweeps: no tracer, no conservation bookkeeping, no per-round
-//     schedule scan, and no allocation — injections land in a reused
-//     scratch buffer (see InjectAppender) and all statistics go to the
-//     tracker's flat counters. Cheap validations (energy cap, the
-//     transmit-while-off and plain-packet disciplines, injection ranges)
-//     still run, so the tracker totals match the checked path exactly
-//     for any well-behaved system; only schedule-conformance violations
-//     would go unnoticed.
+//   - With the checker attached, the kernel also scans the oblivious
+//     schedule for conformance, keeps the live/delivered conservation
+//     bookkeeping, hands the Tracer the round's action vector and
+//     delivered packets, and in strict mode stops at the first
+//     violation.
+//   - Without it (FastPath), the kernel allocates nothing: injections
+//     land in a reused scratch buffer (see InjectAppender), all
+//     statistics go to the tracker's flat counters, and quiescent
+//     stretches may be fast-forwarded (quiesce.go). The tracker totals
+//     and violation record match a lenient checked run exactly; only
+//     schedule-conformance violations go unnoticed.
 type Sim struct {
 	sys     *System
 	adv     Adversary
 	opt     Options
 	tracker *metrics.Tracker
-	fast    bool
+	chk     *checker // nil: the steady-state fast path
 
 	// Adversary capabilities, resolved once so the round loop performs no
 	// per-round type assertions.
@@ -134,15 +139,9 @@ type Sim struct {
 
 	round    int64
 	nextID   int64
-	actions  []Action
 	on       []bool
 	queueLen []int
-	injBuf   []Injection  // reused injection scratch (fast and checked path)
-	delBuf   []mac.Packet // reused delivered-packet scratch (checked path)
-	// live maps in-flight packet IDs to their packets; maintained only
-	// when conservation checking is enabled.
-	live      map[int64]mac.Packet
-	delivered map[int64]bool
+	injBuf   []Injection // reused injection scratch
 
 	// Quiescence fast-forward state (fast path only; see quiesce.go).
 	skipOK      bool          // engine enabled for this sim
@@ -160,6 +159,31 @@ type Sim struct {
 	cycleMaxE   int
 }
 
+// checker is the per-round work a Sim does only when validation or
+// tracing was asked for.
+type checker struct {
+	schedule sched.Schedule // oblivious schedule to scan (nil: none)
+	tracer   Tracer
+	actions  []Action     // the round's action vector (only with a tracer)
+	delBuf   []mac.Packet // the round's delivered packets (only with a tracer)
+	// live maps in-flight packet IDs to their packets and delivered
+	// records consumed ones; both nil unless CheckEvery > 0.
+	live      map[int64]mac.Packet
+	delivered map[int64]bool
+}
+
+// retire moves p out of conservation tracking as consumed (delivered,
+// or dropped mid-route) and reports whether it had been consumed before.
+func (c *checker) retire(p mac.Packet) (again bool) {
+	if c.live == nil {
+		return false
+	}
+	again = c.delivered[p.ID]
+	c.delivered[p.ID] = true
+	delete(c.live, p.ID)
+	return again
+}
+
 // NewSim prepares a simulation starting at round 0.
 func NewSim(sys *System, adv Adversary, opt Options) *Sim {
 	t := opt.Tracker
@@ -171,7 +195,6 @@ func NewSim(sys *System, adv Adversary, opt Options) *Sim {
 		adv:      adv,
 		opt:      opt,
 		tracker:  t,
-		actions:  make([]Action, sys.N()),
 		on:       make([]bool, sys.N()),
 		queueLen: make([]int, sys.N()),
 	}
@@ -187,11 +210,16 @@ func NewSim(sys *System, adv Adversary, opt Options) *Sim {
 	s.disrupt = opt.Disrupted
 	s.dropObs = opt.DropObserver
 	s.roundEnd = opt.RoundEnd
-	if opt.CheckEvery > 0 {
-		s.live = make(map[int64]mac.Packet)
-		s.delivered = make(map[int64]bool)
+	if opt.Strict || opt.CheckEvery > 0 || opt.Tracer != nil || opt.ForceChecked {
+		s.chk = &checker{schedule: sys.Schedule, tracer: opt.Tracer}
+		if opt.Tracer != nil {
+			s.chk.actions = make([]Action, sys.N())
+		}
+		if opt.CheckEvery > 0 {
+			s.chk.live = make(map[int64]mac.Packet)
+			s.chk.delivered = make(map[int64]bool)
+		}
 	}
-	s.fast = !opt.Strict && opt.CheckEvery <= 0 && opt.Tracer == nil && !opt.ForceChecked
 	s.dhor = opt.DisruptHorizon
 	if adv != nil {
 		s.advSkip, _ = adv.(EventSkipper)
@@ -200,7 +228,7 @@ func NewSim(sys *System, adv Adversary, opt Options) *Sim {
 	// station, and the absence of every per-round observer the engine
 	// cannot replay: RoundEnd and the adaptive-adversary hooks see each
 	// round individually, so any of them pins the loop to per-round.
-	if s.fast && !opt.NoSkip && sys.Idle != nil && opt.RoundEnd == nil &&
+	if s.chk == nil && !opt.NoSkip && sys.Idle != nil && opt.RoundEnd == nil &&
 		s.roundObs == nil && s.queueObs == nil && s.fbObs == nil {
 		skippers := make([]mac.Skipper, len(sys.Stations))
 		ok := true
@@ -226,10 +254,10 @@ func (s *Sim) Round() int64 { return s.round }
 // System returns the simulated system.
 func (s *Sim) System() *System { return s.sys }
 
-// FastPath reports whether the allocation-free steady-state loop was
-// selected at construction (no strict mode, no conservation checking, no
-// tracer, not forced off).
-func (s *Sim) FastPath() bool { return s.fast }
+// FastPath reports whether the sim runs without the checker: no strict
+// mode, no conservation checking, no tracer, not forced on. Only such a
+// sim is allocation-free in steady state and may fast-forward.
+func (s *Sim) FastPath() bool { return s.chk == nil }
 
 // SkipCapable reports whether the quiescence fast-forward engine was
 // enabled at construction: the fast path was selected, NoSkip is off,
@@ -237,9 +265,12 @@ func (s *Sim) FastPath() bool { return s.fast }
 // mac.Skipper, and no per-round observer pins the loop.
 func (s *Sim) SkipCapable() bool { return s.skipOK }
 
+// violate records a model violation; in strict mode it also returns the
+// error that stops the run.
 func (s *Sim) violate(format string, args ...any) error {
 	s.tracker.Violate(format, args...)
 	if s.opt.Strict {
+		//earmac:alloc -- strict mode only: the run stops at this error
 		return fmt.Errorf("round %d: "+format, append([]any{s.round}, args...)...)
 	}
 	return nil
@@ -250,37 +281,36 @@ func (s *Sim) violate(format string, args ...any) error {
 // O(1) ticks and closed-form span skips (quiesce.go); Run settles any
 // pending skip before returning, so station state is exact at the exit.
 func (s *Sim) Run(rounds int64) error {
-	if s.fast {
-		end := s.round + rounds
-		for s.round < end {
-			if s.quiescent {
-				s.quiescentAdvance(end)
-			} else {
-				s.stepFast()
-			}
-		}
-		s.Settle()
-		return nil
-	}
-	for i := int64(0); i < rounds; i++ {
-		if err := s.stepChecked(); err != nil {
+	end := s.round + rounds
+	for s.round < end {
+		if err := s.advance(end); err != nil {
 			return err
 		}
 	}
+	s.Settle()
 	return nil
 }
 
-// Step executes one round on whichever path was selected at NewSim.
-func (s *Sim) Step() error {
-	if s.fast {
-		if s.quiescent {
-			s.quiescentAdvance(s.round + 1)
-		} else {
-			s.stepFast()
-		}
-		return nil
+// Step executes one round.
+func (s *Sim) Step() error { return s.advance(s.round + 1) }
+
+// advance executes round Round(), by the quiescence engine inside a
+// quiescent stretch and by the kernel otherwise, then runs the
+// conservation check every Options.CheckEvery rounds. end bounds a span
+// skip.
+func (s *Sim) advance(end int64) error {
+	if s.quiescent {
+		return s.quiescentAdvance(end)
 	}
-	return s.stepChecked()
+	t := s.round
+	injs := s.gather(t)
+	if err := s.step(t, injs, s.disruption(t)); err != nil {
+		return err
+	}
+	if s.opt.CheckEvery > 0 && s.round%s.opt.CheckEvery == 0 {
+		return s.CheckConservation()
+	}
+	return nil
 }
 
 // inject obtains this round's injections, reusing the scratch buffer when
@@ -299,9 +329,9 @@ func (s *Sim) inject(t int64) []Injection {
 // gather assembles one round's full injection list: the adversary's
 // injections (reported to InjectionObserver) followed by the
 // externally-sourced ones (ExtraInjections; not reported — they are
-// derived state, reproducible from the adversarial stream). Both paths
-// call it; with no external injector it is exactly the old inject +
-// observe sequence, so single-channel runs keep the same cost.
+// derived state, reproducible from the adversarial stream). With no
+// external injector it is exactly inject plus the observer call, so
+// single-channel runs pay nothing for the hook.
 func (s *Sim) gather(t int64) []Injection {
 	injs := s.inject(t)
 	if s.injObs != nil && len(injs) > 0 {
@@ -319,93 +349,110 @@ func (s *Sim) gather(t int64) []Injection {
 	return s.injBuf
 }
 
+// disruption consults the Disrupted hook for round t (0 without one).
+func (s *Sim) disruption(t int64) Disrupt {
+	if s.disrupt == nil {
+		return 0
+	}
+	return s.disrupt(t)
+}
+
 // NextPacketID returns the ID the next accepted injection will be
 // assigned. IDs are handed out sequentially, in injection order, to
 // every in-range injection; topology layers use this to mirror the
 // simulator's ID assignment without a per-packet callback.
 func (s *Sim) NextPacketID() int64 { return s.nextID }
 
-// stepFast is the allocation-free steady-state round loop. It performs
-// the same channel resolution, delivery accounting, and cheap model
-// validation as the checked path (so tracker totals agree), but skips the
-// per-round schedule-conformance scan, conservation bookkeeping, and
-// tracing.
+// step is the round kernel: it executes round t given the round's
+// injections (gather) and disruption flags (the Disrupted consult),
+// which the caller has already obtained. The consult commutes with
+// everything up to channel resolution, so consulting it first lets the
+// quiescence engine decide whether to wake before any station acts.
+// Without the checker it allocates nothing and returns nil; with one it
+// also does the checker's work and, in strict mode, returns the first
+// violation, leaving the round unfinished.
 //
 //earmac:hotpath
-func (s *Sim) stepFast() {
-	t := s.round
-	// 1. Adversarial injection (plus externally-sourced arrivals), and
-	// the round's disruption flags. The Disrupted consult commutes with
-	// the station sweep — it interacts with nothing before channel
-	// resolution — so hoisting it keeps both paths bit-identical while
-	// letting the quiescence engine share stepFastFrom on wake-up.
-	injs := s.gather(t)
-	var disrupted Disrupt
-	if s.disrupt != nil {
-		disrupted = s.disrupt(t)
-	}
-	s.stepFastFrom(t, injs, disrupted)
-}
-
-// stepFastFrom is the station sweep of one fast round: injections and
-// disruption flags have already been obtained for round t. It is the
-// shared tail of stepFast and the quiescence engine's wake-up path.
-//
-//earmac:hotpath
-func (s *Sim) stepFastFrom(t int64, injs []Injection, disrupted Disrupt) {
+func (s *Sim) step(t int64, injs []Injection, disrupted Disrupt) error {
 	n := s.sys.N()
 	tr := s.tracker
+	c := s.chk
 
+	// 1. Injection.
 	for _, in := range injs {
 		if in.Station < 0 || in.Station >= n || in.Dest < 0 || in.Dest >= n {
-			tr.Violate("injection out of range: %+v", in)
+			if err := s.violate("injection out of range: %+v", in); err != nil {
+				return err
+			}
 			continue
 		}
 		p := mac.Packet{ID: s.nextID, Src: in.Station, Dest: in.Dest, Injected: t}
 		s.nextID++
+		if c != nil && c.live != nil {
+			c.live[p.ID] = p
+		}
 		s.sys.Stations[in.Station].Inject(p)
 		tr.Injected++
 	}
 
-	// 2. Station actions. Unlike the checked path, only the transmitted
-	// message is retained — there is no tracer to hand the full action
-	// vector to.
+	// 2. Station actions. Only the transmitted message is kept, unless
+	// a tracer wants the whole action vector.
+	traced := c != nil && c.tracer != nil
 	energy := 0
 	transmitters := 0
 	lastTx := -1
 	var txMsg mac.Message
 	for i, st := range s.sys.Stations {
 		a := st.Act(t)
+		s.on[i] = a.On
 		if a.On {
 			energy++
 		}
 		if a.Transmit {
 			if !a.On {
-				tr.Violate("station %d transmits while off", i)
+				if err := s.violate("station %d transmits while off", i); err != nil {
+					return err
+				}
+				a.Transmit = false
 			} else {
 				transmitters++
 				lastTx = i
 				txMsg = a.Msg
 			}
 		}
-		s.on[i] = a.On
+		if traced {
+			c.actions[i] = a
+		}
 	}
 
-	// 3. Model validation (cheap checks only; the schedule-conformance
-	// scan is checked-path-only).
+	// 3. Model validation.
 	if energy > s.sys.Info.EnergyCap {
-		tr.Violate("%d stations on exceeds energy cap %d", energy, s.sys.Info.EnergyCap)
+		if err := s.violate("%d stations on exceeds energy cap %d", energy, s.sys.Info.EnergyCap); err != nil {
+			return err
+		}
 	}
-	if s.sys.Info.PlainPacket && transmitters == 1 {
-		if !txMsg.HasPacket || len(txMsg.Ctrl) > 0 {
-			tr.Violate("station %d violates plain-packet discipline (packet=%v, ctrl=%d bits)",
-				lastTx, txMsg.HasPacket, txMsg.Ctrl.Bits())
+	if c != nil && c.schedule != nil {
+		for i := 0; i < n; i++ {
+			if s.on[i] != c.schedule.On(i, t) {
+				if err := s.violate("station %d violates oblivious schedule: on=%v", i, s.on[i]); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	if s.sys.Info.PlainPacket && transmitters == 1 && (!txMsg.HasPacket || len(txMsg.Ctrl) > 0) {
+		if err := s.violate("station %d violates plain-packet discipline (packet=%v, ctrl=%d bits)",
+			lastTx, txMsg.HasPacket, txMsg.Ctrl.Bits()); err != nil {
+			return err
 		}
 	}
 
 	// 4. Channel resolution and ground-truth delivery. An externally
 	// disrupted round (jam or outage) overrides the contention outcome:
 	// nothing is delivered and every listener observes a collision.
+	if traced {
+		c.delBuf = c.delBuf[:0]
+	}
 	var fb mac.Feedback
 	switch {
 	case disrupted != 0:
@@ -421,26 +468,38 @@ func (s *Sim) stepFastFrom(t int64, injs []Injection, disrupted Disrupt) {
 		fb.Kind = mac.FbSilence
 		tr.SilentRounds++
 	case transmitters == 1:
-		msg := txMsg
-		fb = mac.Feedback{Kind: mac.FbHeard, Msg: msg}
+		fb = mac.Feedback{Kind: mac.FbHeard, Msg: txMsg}
 		tr.HeardRounds++
-		tr.ControlBits += int64(msg.Ctrl.Bits())
-		if msg.IsLight() {
+		tr.ControlBits += int64(txMsg.Ctrl.Bits())
+		p := txMsg.Packet
+		if txMsg.IsLight() {
 			tr.LightRounds++
-		} else if s.on[msg.Packet.Dest] {
+		} else if s.on[p.Dest] {
 			tr.DeliveryRounds++
-			tr.ObserveDelivery(t - msg.Packet.Injected)
+			tr.ObserveDelivery(t - p.Injected)
 			if s.delObs != nil {
-				s.delObs(t, msg.Packet)
+				s.delObs(t, p)
+			}
+			if traced {
+				c.delBuf = append(c.delBuf, p)
+			}
+			if c != nil && c.retire(p) {
+				if err := s.violate("packet %v delivered twice", p); err != nil {
+					return err
+				}
 			}
 		} else if s.sys.Info.Direct {
 			// A direct algorithm's transmitter treats an uncontended
 			// heard round as an acknowledgement and retires the packet,
 			// but the destination was switched off (duty-cycled): the
-			// packet dies mid-route.
+			// packet dies mid-route, and leaves conservation tracking
+			// as consumed — no station may hold it afterwards.
 			tr.Dropped++
 			if s.dropObs != nil {
-				s.dropObs(t, msg.Packet)
+				s.dropObs(t, p)
+			}
+			if c != nil {
+				c.retire(p)
 			}
 		}
 	default:
@@ -461,7 +520,11 @@ func (s *Sim) stepFastFrom(t int64, injs []Injection, disrupted Disrupt) {
 	if s.fbObs != nil {
 		s.fbObs.ObserveFeedback(t, fb)
 	}
+	if traced {
+		c.tracer.TraceRound(t, c.actions, fb, c.delBuf)
+	}
 
+	// 6. The fold.
 	var totalQueue int64
 	for i, st := range s.sys.Stations {
 		l := st.QueueLen()
@@ -480,186 +543,6 @@ func (s *Sim) stepFastFrom(t int64, injs []Injection, disrupted Disrupt) {
 	if s.skipOK && totalQueue == 0 && !s.quiescent {
 		s.tryEnterQuiescence()
 	}
-}
-
-// stepChecked executes one fully-validated round.
-func (s *Sim) stepChecked() error {
-	n := s.sys.N()
-	t := s.round
-
-	// 1. Adversarial injection (plus externally-sourced arrivals).
-	injs := s.gather(t)
-	for _, in := range injs {
-		if in.Station < 0 || in.Station >= n || in.Dest < 0 || in.Dest >= n {
-			if err := s.violate("injection out of range: %+v", in); err != nil {
-				return err
-			}
-			continue
-		}
-		p := mac.Packet{ID: s.nextID, Src: in.Station, Dest: in.Dest, Injected: t}
-		s.nextID++
-		if s.live != nil {
-			s.live[p.ID] = p
-		}
-		s.sys.Stations[in.Station].Inject(p)
-		s.tracker.ObserveInjections(1)
-	}
-
-	// 2. Station actions.
-	energy := 0
-	transmitters := 0
-	lastTx := -1
-	for i, st := range s.sys.Stations {
-		a := st.Act(t)
-		s.actions[i] = a
-		s.on[i] = a.On
-		if a.On {
-			energy++
-		}
-		if a.Transmit {
-			if !a.On {
-				if err := s.violate("station %d transmits while off", i); err != nil {
-					return err
-				}
-				a.Transmit = false
-				s.actions[i] = a
-				continue
-			}
-			transmitters++
-			lastTx = i
-		}
-	}
-
-	// 3. Model validation.
-	if energy > s.sys.Info.EnergyCap {
-		if err := s.violate("%d stations on exceeds energy cap %d", energy, s.sys.Info.EnergyCap); err != nil {
-			return err
-		}
-	}
-	if s.sys.Schedule != nil {
-		for i := 0; i < n; i++ {
-			if s.on[i] != s.sys.Schedule.On(i, t) {
-				if err := s.violate("station %d violates oblivious schedule: on=%v", i, s.on[i]); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	if s.sys.Info.PlainPacket && transmitters == 1 {
-		msg := s.actions[lastTx].Msg
-		if !msg.HasPacket || len(msg.Ctrl) > 0 {
-			if err := s.violate("station %d violates plain-packet discipline (packet=%v, ctrl=%d bits)",
-				lastTx, msg.HasPacket, msg.Ctrl.Bits()); err != nil {
-				return err
-			}
-		}
-	}
-
-	// 4. Channel resolution and ground-truth delivery. Disruption
-	// overrides the contention outcome exactly as on the fast path.
-	var disrupted Disrupt
-	if s.disrupt != nil {
-		disrupted = s.disrupt(t)
-	}
-	var fb mac.Feedback
-	deliveredPkts := s.delBuf[:0]
-	switch {
-	case disrupted != 0:
-		fb = mac.Feedback{Kind: mac.FbCollision}
-		s.tracker.CollisionRounds++
-		if disrupted&DisruptJam != 0 {
-			s.tracker.JammedRounds++
-		}
-		if disrupted&DisruptOutage != 0 {
-			s.tracker.OutageRounds++
-		}
-	case transmitters == 0:
-		fb = mac.Feedback{Kind: mac.FbSilence}
-		s.tracker.SilentRounds++
-	case transmitters == 1:
-		msg := s.actions[lastTx].Msg
-		fb = mac.Feedback{Kind: mac.FbHeard, Msg: msg}
-		s.tracker.HeardRounds++
-		s.tracker.ControlBits += int64(msg.Ctrl.Bits())
-		if msg.IsLight() {
-			s.tracker.LightRounds++
-		} else if s.on[msg.Packet.Dest] {
-			p := msg.Packet
-			s.tracker.DeliveryRounds++
-			s.tracker.ObserveDelivery(t - p.Injected)
-			if s.delObs != nil {
-				s.delObs(t, p)
-			}
-			deliveredPkts = append(deliveredPkts, p)
-			if s.live != nil {
-				if s.delivered[p.ID] {
-					if err := s.violate("packet %v delivered twice", p); err != nil {
-						return err
-					}
-				}
-				s.delivered[p.ID] = true
-				delete(s.live, p.ID)
-			}
-		} else if s.sys.Info.Direct {
-			// Mid-route death (see the fast path): the direct
-			// transmitter retires the packet on an uncontended heard
-			// round, but the duty-cycled destination was off. The
-			// packet leaves conservation tracking as consumed — no
-			// station may hold it afterwards.
-			p := msg.Packet
-			s.tracker.Dropped++
-			if s.dropObs != nil {
-				s.dropObs(t, p)
-			}
-			if s.live != nil {
-				s.delivered[p.ID] = true
-				delete(s.live, p.ID)
-			}
-		}
-	default:
-		fb = mac.Feedback{Kind: mac.FbCollision}
-		s.tracker.CollisionRounds++
-	}
-	s.delBuf = deliveredPkts
-
-	// 5. Feedback to switched-on stations.
-	for i, st := range s.sys.Stations {
-		if s.on[i] {
-			st.Observe(t, fb)
-		}
-	}
-
-	if s.roundObs != nil {
-		s.roundObs.ObserveRound(t, s.on)
-	}
-	if s.fbObs != nil {
-		s.fbObs.ObserveFeedback(t, fb)
-	}
-	if s.opt.Tracer != nil {
-		s.opt.Tracer.TraceRound(t, s.actions, fb, deliveredPkts)
-	}
-
-	var totalQueue int64
-	for i, st := range s.sys.Stations {
-		l := st.QueueLen()
-		s.queueLen[i] = l
-		totalQueue += int64(l)
-	}
-	if s.queueObs != nil {
-		s.queueObs.ObserveQueues(t, s.queueLen)
-	}
-	s.tracker.ObserveStationQueues(s.queueLen)
-	s.tracker.ObserveRound(t, totalQueue, energy)
-	if s.roundEnd != nil {
-		s.roundEnd(t)
-	}
-	s.round++
-
-	if s.opt.CheckEvery > 0 && s.round%s.opt.CheckEvery == 0 {
-		if err := s.CheckConservation(); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -670,10 +553,11 @@ func (s *Sim) stepChecked() error {
 // conservation tracking (Options.CheckEvery > 0) and stations
 // implementing PacketHolder.
 func (s *Sim) CheckConservation() error {
-	if s.live == nil {
+	if s.chk == nil || s.chk.live == nil {
 		return fmt.Errorf("core: conservation tracking disabled (set Options.CheckEvery)")
 	}
-	seen := make(map[int64]int, len(s.live))
+	live, delivered := s.chk.live, s.chk.delivered
+	seen := make(map[int64]int, len(live))
 	for i, st := range s.sys.Stations {
 		h, ok := st.(PacketHolder)
 		if !ok {
@@ -686,11 +570,11 @@ func (s *Sim) CheckConservation() error {
 					return err
 				}
 			}
-			if s.delivered[p.ID] {
+			if delivered[p.ID] {
 				if err := s.violate("station %d holds already-delivered packet %v", i, p); err != nil {
 					return err
 				}
-			} else if _, isLive := s.live[p.ID]; !isLive {
+			} else if _, isLive := live[p.ID]; !isLive {
 				if err := s.violate("station %d holds unknown packet %v", i, p); err != nil {
 					return err
 				}
@@ -705,14 +589,14 @@ func (s *Sim) CheckConservation() error {
 	// Check live packets in id order, so multi-packet violation reports
 	// are deterministic (violations land in reports and trace footers;
 	// map order must never reach them).
-	ids := make([]int64, 0, len(s.live))
-	for id := range s.live { //earmac:nondet -- key collection only; ids are sorted before any observable use
+	ids := make([]int64, 0, len(live))
+	for id := range live { //earmac:nondet -- key collection only; ids are sorted before any observable use
 		ids = append(ids, id)
 	}
 	slices.Sort(ids)
 	for _, id := range ids {
 		if seen[id] != 1 {
-			if err := s.violate("in-flight packet %v held by %d stations", s.live[id], seen[id]); err != nil {
+			if err := s.violate("in-flight packet %v held by %d stations", live[id], seen[id]); err != nil {
 				return err
 			}
 		}
@@ -722,4 +606,9 @@ func (s *Sim) CheckConservation() error {
 
 // LivePackets returns the number of injected-but-undelivered packets
 // (available only with conservation tracking).
-func (s *Sim) LivePackets() int { return len(s.live) }
+func (s *Sim) LivePackets() int {
+	if s.chk == nil {
+		return 0
+	}
+	return len(s.chk.live)
+}

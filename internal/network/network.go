@@ -16,7 +16,7 @@ type Options struct {
 	Strict bool
 	// CheckEvery enables each channel's packet-conservation checker.
 	CheckEvery int64
-	// ForceChecked keeps every channel on the fully-validating path.
+	// ForceChecked attaches the checker to every channel's simulator.
 	ForceChecked bool
 	// SampleEvery sets the aggregate tracker's queue-curve resolution:
 	// 0 keeps the metrics.NewTracker default, a negative value disables
@@ -47,7 +47,7 @@ type Options struct {
 	Recorder func(round int64, ch int, injs []core.Injection)
 	// Tracer, when non-nil, supplies each channel's event tracer (nil
 	// returns are fine). Like core.Options.Tracer, a non-nil tracer
-	// forces that channel onto the checked path — and forces Workers to
+	// attaches the checker to that channel's simulator — and forces Workers to
 	// 1, so tracers sharing one writer interleave deterministically:
 	// all of round t's channel-0 lines before its channel-1 lines.
 	Tracer func(ch int) core.Tracer

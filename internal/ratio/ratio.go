@@ -8,6 +8,8 @@ package ratio
 import (
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 )
 
 // Rat is an exact rational number. The zero value is 0/1. Rats are always
@@ -167,6 +169,26 @@ func (r Rat) Min(o Rat) Rat {
 func (r Rat) Float64() float64 {
 	r = r.norm()
 	return float64(r.n) / float64(r.d)
+}
+
+// ParseFrac parses "p/q" or an integer p (q = 1) into an unreduced
+// fraction, the syntax every CLI rate flag accepts. A denominator must
+// be positive: "1/0" is an error, not a rate of 1.
+func ParseFrac(s string) (num, den int64, err error) {
+	p, q, frac := strings.Cut(s, "/")
+	if num, err = strconv.ParseInt(p, 10, 64); err != nil {
+		return 0, 0, fmt.Errorf("bad fraction %q: %v", s, err)
+	}
+	if !frac {
+		return num, 1, nil
+	}
+	if den, err = strconv.ParseInt(q, 10, 64); err != nil {
+		return 0, 0, fmt.Errorf("bad fraction %q: %v", s, err)
+	}
+	if den <= 0 {
+		return 0, 0, fmt.Errorf("bad fraction %q: denominator must be positive", s)
+	}
+	return num, den, nil
 }
 
 func (r Rat) String() string {
