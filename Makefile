@@ -1,6 +1,4 @@
-GITREV := $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)
-
-.PHONY: test lint lint-smoke race allocs fuzz cover bench bench-full baseline table serve smoke-serve
+.PHONY: test lint lint-smoke race allocs fuzz cover bench table serve smoke-serve
 
 test:
 	go build ./... && go test ./...
@@ -21,16 +19,19 @@ lint-smoke:
 race:
 	go test -race ./...
 
-# Steady-state allocation floor: the ZeroAllocs tests, without -short
-# (the test job runs -short and the race job skips them). The CI bench
-# job runs this target.
+# Steady-state allocation floor: the ZeroAllocs tests and the pinned
+# bench rows (TestBenchRows: exact queue_max/energy, twin equality and
+# an allocs/round ceiling), without -short (the test job runs -short and
+# the race job skips the allocation checks). The CI bench job runs this
+# target.
 allocs:
-	go test -run 'ZeroAllocs' -v . ./internal/network
+	go test -run 'ZeroAllocs|^TestBenchRows$$' -v . ./internal/network
 
 # Fuzz smoke: same budget as the CI fuzz job.
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzBucket$$' -fuzztime 10s ./internal/adversary
 	go test -run '^$$' -fuzz '^FuzzTraceRoundTrip$$' -fuzztime 10s ./internal/scenario
+	go test -run '^$$' -fuzz '^FuzzCompileLinks$$' -fuzztime 10s ./internal/network
 
 # Statement coverage with a per-package summary. Writes cover.out (the
 # profile the CI cover job uploads as an artifact); the summary script
@@ -39,19 +40,12 @@ cover:
 	go test -short -coverprofile=cover.out -coverpkg=./... ./...
 	sh scripts/cover-summary.sh cover.out
 
-# Stamp a quick benchmark run for the current revision and gate it
-# against the committed baseline (what CI runs).
+# Paired perfbench A/B of the working tree against BASE (default the
+# parent commit): exit 1 when an end-to-end metric's median is worse
+# than its BENCHMARK.json bound (what the CI bench job runs).
+BASE ?= HEAD~1
 bench:
-	go run ./cmd/earmac-bench -quick -out BENCH_$(GITREV).json -baseline BENCH_baseline.json
-
-# Full (4x) horizons, no gate.
-bench-full:
-	go run ./cmd/earmac-bench -full -out BENCH_$(GITREV).json
-
-# Refresh the committed baseline (run on the reference machine, then
-# commit BENCH_baseline.json).
-baseline:
-	go run ./cmd/earmac-bench -quick -out BENCH_baseline.json
+	sh scripts/bench-ab.sh $(BASE)
 
 table:
 	go run ./cmd/earmac-table

@@ -49,10 +49,6 @@
 // scenario/trace determinism rules (§8), and the network model (§11).
 package earmac
 
-// Stamp a benchmark file for the current revision (same as `make bench`
-// without the baseline gate):
-//go:generate sh -c "go run ./cmd/earmac-bench -quick -out BENCH_$(git rev-parse --short HEAD).json"
-
 import (
 	"context"
 	"encoding/json"
@@ -613,7 +609,7 @@ func prepareNetwork(cfg Config) (run, error) {
 		rep.Channels = cfg.Channels
 		rep.EnergyCap = info.EnergyCap * cfg.Channels
 		rep.QueueImbalance = net.QueueImbalance()
-		rep.Violations = net.Violations()
+		rep.Violations, rep.ViolationsTotal = net.Violations(), net.ViolationsTotal()
 		rep.PerChannel = perChannelReports(net)
 		rep.SplitRho = split.Rho.String()
 		rep.SplitBeta = split.Beta.String()

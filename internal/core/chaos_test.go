@@ -219,10 +219,12 @@ func violatingChaos(seed int64, n int, opt Options, consults *int64) *Sim {
 
 // TestChaosViolationParity pins the violation record across the two
 // loop configurations. Lenient: the same counters, the same Violations
-// slice and the same number of Disrupted consults with the checker on
-// (ForceChecked) and off. Strict: the run stops in the round of the
+// slice, the same ViolationsTotal and the same number of Disrupted
+// consults with the checker on (ForceChecked) and off; some seed must
+// count past the kept strings. Strict: the run stops in the round of the
 // first violation the lenient run records, with that violation's text.
 func TestChaosViolationParity(t *testing.T) {
+	saturated := 0
 	for seed := int64(1); seed <= 12; seed++ {
 		n := 2 + int(seed%5)
 		const rounds = 2000
@@ -248,6 +250,13 @@ func TestChaosViolationParity(t *testing.T) {
 		if !slices.Equal(ft.Violations, ct.Violations) {
 			t.Errorf("seed %d: violation records differ:\nfast:    %q\nchecked: %q", seed, ft.Violations, ct.Violations)
 		}
+		if ft.ViolationsTotal != ct.ViolationsTotal || ft.ViolationsTotal < int64(len(ft.Violations)) {
+			t.Errorf("seed %d: ViolationsTotal %d (fast) / %d (checked) for %d kept strings",
+				seed, ft.ViolationsTotal, ct.ViolationsTotal, len(ft.Violations))
+		}
+		if ft.ViolationsTotal > metrics.MaxViolations {
+			saturated++
+		}
 		if fastCalls != rounds || checkedCalls != rounds {
 			t.Errorf("seed %d: Disrupted consulted %d (fast) / %d (checked) times, want %d",
 				seed, fastCalls, checkedCalls, rounds)
@@ -272,5 +281,8 @@ func TestChaosViolationParity(t *testing.T) {
 		if strict.Round() != first {
 			t.Errorf("seed %d: strict run stopped at round %d, want %d", seed, strict.Round(), first)
 		}
+	}
+	if saturated == 0 {
+		t.Error("no seed counted past the kept violation strings")
 	}
 }

@@ -140,7 +140,7 @@ func Run(s Spec) (Outcome, error) {
 		MaxEnergy:   tr.MaxEnergy,
 		Injected:    tr.Injected,
 		Delivered:   tr.Delivered,
-		Violations:  len(tr.Violations),
+		Violations:  int(tr.ViolationsTotal),
 	}
 	slack := s.Slack
 	if slack == 0 {

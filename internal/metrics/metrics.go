@@ -72,7 +72,11 @@ type Tracker struct {
 
 	Counters
 
-	Violations []string // model violations (energy cap, plain-packet, ...)
+	Violations []string // the first MaxViolations model violations (energy cap, plain-packet, ...)
+	// ViolationsTotal counts every violation, including those past the
+	// kept strings. It is not part of Counters, so trace footers do not
+	// carry it.
+	ViolationsTotal int64
 
 	samples []QueueSample
 
@@ -188,9 +192,14 @@ func bucketOf(latency int64) int {
 	return bits.Len64(uint64(latency)) - 1
 }
 
-// Violate records a model violation.
+// MaxViolations bounds the violation strings a Tracker keeps.
+const MaxViolations = 100
+
+// Violate records a model violation: it counts every one and keeps the
+// text of the first MaxViolations.
 func (t *Tracker) Violate(format string, args ...any) {
-	if len(t.Violations) < 100 {
+	t.ViolationsTotal++
+	if len(t.Violations) < MaxViolations {
 		t.Violations = append(t.Violations, fmt.Sprintf(format, args...))
 	}
 }
@@ -329,7 +338,7 @@ func (t *Tracker) Summary() string {
 	fmt.Fprintf(&b, "channel: heard=%d silent=%d collisions=%d light=%d deliveries=%d ctrlbits=%d\n",
 		t.HeardRounds, t.SilentRounds, t.CollisionRounds, t.LightRounds, t.DeliveryRounds, t.ControlBits)
 	if len(t.Violations) > 0 {
-		fmt.Fprintf(&b, "VIOLATIONS (%d):\n", len(t.Violations))
+		fmt.Fprintf(&b, "VIOLATIONS (%d):\n", t.ViolationsTotal)
 		for _, v := range t.Violations {
 			fmt.Fprintf(&b, "  %s\n", v)
 		}

@@ -261,8 +261,11 @@ func TestViolationsCapped(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		tr.Violate("violation %d", i)
 	}
-	if len(tr.Violations) != 100 {
-		t.Errorf("violations = %d, want capped at 100", len(tr.Violations))
+	if len(tr.Violations) != MaxViolations {
+		t.Errorf("violations = %d, want capped at %d", len(tr.Violations), MaxViolations)
+	}
+	if tr.ViolationsTotal != 200 {
+		t.Errorf("ViolationsTotal = %d, want 200", tr.ViolationsTotal)
 	}
 }
 

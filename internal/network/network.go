@@ -693,17 +693,32 @@ func (n *Network) QueueImbalance() float64 {
 	return float64(max) / (float64(sum) / float64(count))
 }
 
-// Violations collects every channel's model violations (prefixed with
-// the channel id) after the aggregate tracker's own. Entry violations
-// land on the aggregate tracker in (round, channel) order regardless of
-// worker count — the fold appends them in ascending channel order.
+// Violations returns the first metrics.MaxViolations model violations:
+// the aggregate tracker's own, then each channel's (prefixed with the
+// channel id) in ascending channel order. Entry violations land on the
+// aggregate tracker in (round, channel) order regardless of worker count
+// — the fold appends them in ascending channel order. ViolationsTotal
+// counts them all.
 func (n *Network) Violations() []string {
 	var out []string
 	out = append(out, n.agg.Violations...)
 	for c, cs := range n.chans {
 		for _, v := range cs.trk.Violations {
+			if len(out) == metrics.MaxViolations {
+				return out
+			}
 			out = append(out, fmt.Sprintf("channel %d: %s", c, v))
 		}
 	}
 	return out
+}
+
+// ViolationsTotal counts every model violation of the run, the
+// aggregate tracker's and each channel's.
+func (n *Network) ViolationsTotal() int64 {
+	total := n.agg.ViolationsTotal
+	for _, cs := range n.chans {
+		total += cs.trk.ViolationsTotal
+	}
+	return total
 }

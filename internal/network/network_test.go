@@ -1,11 +1,13 @@
 package network
 
 import (
+	"strings"
 	"testing"
 
 	"earmac/internal/adversary"
 	"earmac/internal/core"
 	"earmac/internal/mac"
+	"earmac/internal/metrics"
 	"earmac/internal/scenario"
 )
 
@@ -300,5 +302,37 @@ func TestAggregateRollup(t *testing.T) {
 	}
 	if len(net.Violations()) != 0 {
 		t.Errorf("violations: %v", net.Violations())
+	}
+}
+
+// TestViolationsBounded: a violating multi-channel run keeps the first
+// metrics.MaxViolations strings in (aggregate, ascending channel) order
+// and counts every violation in ViolationsTotal.
+func TestViolationsBounded(t *testing.T) {
+	const channels, rounds = 8, 60
+	topo := mustCompile(t, Spec{Kind: Line, Channels: channels, N: 3})
+	build := func(ch int) (*core.System, error) {
+		sys, err := rrBuild(3)(ch)
+		sys.Info.EnergyCap = 2 // every station listens: one violation per channel-round
+		return sys, err
+	}
+	net, err := New(topo, build, mkUniformAdversary(t, topo, adversary.T(1, 4, 2), 5), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer net.Close()
+	if err := net.Run(rounds); err != nil {
+		t.Fatal(err)
+	}
+	vs := net.Violations()
+	if len(vs) != metrics.MaxViolations {
+		t.Fatalf("%d violation strings, want %d", len(vs), metrics.MaxViolations)
+	}
+	if !strings.HasPrefix(vs[0], "channel 0: ") || !strings.HasPrefix(vs[rounds-1], "channel 0: ") ||
+		!strings.HasPrefix(vs[rounds], "channel 1: ") {
+		t.Errorf("order: %q, %q, %q", vs[0], vs[rounds-1], vs[rounds])
+	}
+	if got := net.ViolationsTotal(); got != channels*rounds {
+		t.Errorf("ViolationsTotal %d, want %d", got, channels*rounds)
 	}
 }

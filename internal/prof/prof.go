@@ -1,7 +1,6 @@
-// Package prof wires the standard runtime/pprof file profiles into the
-// CLIs: a -cpuprofile/-memprofile pair handed to Start, a deferred
-// Stop. It exists so earmac-bench and earmac-sim expose identical
-// profiling knobs without duplicating the file/handle bookkeeping.
+// Package prof wires the standard runtime/pprof file profiles into
+// earmac-sim: a -cpuprofile/-memprofile pair handed to Start, a deferred
+// Stop, the file/handle bookkeeping kept out of the CLI's main.
 package prof
 
 import (

@@ -113,7 +113,10 @@ type Report struct {
 
 	PerChannel []Channel `json:"per_channel,omitempty"`
 
-	Violations []string `json:"violations,omitempty"`
+	// Violations holds the first metrics.MaxViolations model violations;
+	// ViolationsTotal counts them all.
+	Violations      []string `json:"violations,omitempty"`
+	ViolationsTotal int64    `json:"violations_total,omitempty"`
 }
 
 // FromTracker assembles a Report from a (possibly mid-run) tracker. An
@@ -162,7 +165,8 @@ func FromTracker(info core.AlgorithmInfo, n int, tr *metrics.Tracker) Report {
 		OutageRounds: tr.OutageRounds,
 		Dropped:      tr.Dropped,
 
-		Violations: tr.Violations,
+		Violations:      tr.Violations,
+		ViolationsTotal: tr.ViolationsTotal,
 	}
 }
 
@@ -205,7 +209,7 @@ func (r Report) Summary() string {
 		s += fmt.Sprintf("  effective per-channel entry budget: (ρ=%s, β=%s)\n", r.SplitRho, r.SplitBeta)
 	}
 	if len(r.Violations) > 0 {
-		s += fmt.Sprintf("  VIOLATIONS: %d (first: %s)\n", len(r.Violations), r.Violations[0])
+		s += fmt.Sprintf("  VIOLATIONS: %d (first: %s)\n", r.ViolationsTotal, r.Violations[0])
 	}
 	return s
 }
